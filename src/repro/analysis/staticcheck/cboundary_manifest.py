@@ -140,8 +140,8 @@ class DictKeyMirror:
 
 
 DICT_KEY_MIRRORS: tuple[DictKeyMirror, ...] = (
-    DictKeyMirror("S", "src/repro/core/sfs.py", "sched"),
-    DictKeyMirror("alpha", "src/repro/core/sfs.py", "sched"),
+    DictKeyMirror("S", "src/repro/core/sfs_heuristic.py", "sched"),
+    DictKeyMirror("alpha", "src/repro/core/sfs_heuristic.py", "sched"),
 )
 
 
@@ -180,14 +180,14 @@ ALPHA_EXPRS: tuple[ExprMirror, ...] = (
 ENV_FLAGS: tuple[str, ...] = ("SFS_ENGINE", "SFS_EVENTQ")
 ENV_FLAG_FILES: tuple[str, ...] = (
     "src/repro/sim/engine.py",
-    "src/repro/core/sfs.py",
+    "src/repro/core/sfs_heuristic.py",
 )
 #: sim/core modules scanned for *undeclared* ``SFS_*`` env reads
 ENV_SCAN_FILES: tuple[str, ...] = (
     "src/repro/sim/engine.py",
     "src/repro/sim/eventq.py",
     "src/repro/sim/runqueue.py",
-    "src/repro/core/sfs.py",
+    "src/repro/core/sfs_heuristic.py",
 )
 
 

@@ -12,15 +12,33 @@ Because the surplus depends only on the *start* tag, SFS does not need
 to know the quantum length when it schedules, so quanta may end early
 when threads block (a property the paper calls out explicitly).
 
-The implementation mirrors §3.1's kernel data structures: three sorted
-queues over the runnable threads —
+The implementation keeps §3.1's three queues over the runnable
+threads —
 
 1. descending user weight (drives the §2.1 weight readjustment scan),
 2. ascending start tag (its head *is* the virtual time),
-3. ascending surplus (its first schedulable entry is the decision),
+3. the surplus order, from which the decision is read —
 
-with surpluses recomputed and the third queue re-sorted by insertion
-sort whenever the virtual time advances (§3.2's "mostly sorted" trick).
+but holds queue 3 as **per-phi start-ordered lists** instead of one
+list sorted by surplus. The paper re-sorts its surplus queue whenever
+``v`` moves, because every surplus depends on ``v``. Among threads that
+share one ``phi``, though, the surplus order is the start-tag order for
+*every* ``v``: for fixed ``phi > 0`` the IEEE expression
+``phi * (S - v)`` never decreases as ``S`` grows (subtraction and
+multiplication by a positive constant are both monotone under
+round-to-nearest), and neither does the kernel's integer
+``phi_scaled * (S - v)``. So each list — keyed by ``(S, tid)``, with
+``S`` changing only at a quantum end — holds its threads in surplus
+order without ever being re-sorted, and its first schedulable entry has
+the list's minimum surplus. Distinct start tags may still round to one
+surplus, so the decision walks each list's run of equal surpluses for
+the smallest tid, then takes the ``(alpha, tid)`` minimum over the
+lists: exactly the thread the full recompute-and-sort would pick, in
+O(g (p + ties)) surplus evaluations for ``g`` distinct phis — shares
+are usually set per user or class, so ``g`` stays small while the run
+queue holds thousands. The lists follow every phi change: the
+readjustment frontier reports which threads it re-weighted, and the
+``readjust=False`` ablation re-files on the weight change itself.
 
 Invariants maintained (checked by the test suite):
 
@@ -31,9 +49,7 @@ Invariants maintained (checked by the test suite):
 
 from __future__ import annotations
 
-import os
-
-from repro.core.fixed_point import FloatTags, TagArithmetic
+from repro.core.fixed_point import TagArithmetic
 from repro.core.tags import TaggedScheduler
 from repro.sim.costs import DecisionCostParams
 from repro.sim.runqueue import SortedTaskList
@@ -42,26 +58,8 @@ from repro.sim.task import Task, TaskState
 __all__ = ["SurplusFairScheduler"]
 
 
-def _load_compiled_recompute():
-    """The C surplus-recompute helper, honouring the SFS_ENGINE policy.
-
-    Returns ``repro.sim._engine.sfs_recompute`` when the optional
-    extension is importable and ``SFS_ENGINE`` does not force the pure
-    path, else None. The helper reproduces ``FloatTags.surplus`` bit
-    for bit (same IEEE-double expression), so it is gated per scheduler
-    instance on the tag arithmetic actually being :class:`FloatTags` —
-    fixed-point tags keep the pure integer loop.
-    """
-    if os.environ.get("SFS_ENGINE", "auto") == "pure":
-        return None
-    try:
-        from repro.sim._engine import sfs_recompute
-    except ImportError:
-        return None
-    return sfs_recompute
-
-
-_C_RECOMPUTE = _load_compiled_recompute()
+def _start_tag(task: Task):
+    return task.sched["S"]
 
 
 class SurplusFairScheduler(TaggedScheduler):
@@ -113,20 +111,14 @@ class SurplusFairScheduler(TaggedScheduler):
         #: the ReadjustmentFrontier owns the descending-weight queue and
         #: :attr:`weight_queue` aliases it (one structure, not two).
         self._own_weight_queue = SortedTaskList(key=lambda t: -t.weight)
-        #: §3.1 queue 3: runnable threads by ascending surplus
-        self.surplus_queue = SortedTaskList(key=lambda t: t.sched["alpha"])
-        self._in_queues: set[int] = set()
-        self._surplus_dirty = True
-        #: v at the last full surplus recompute. §3.1 prescribes a
-        #: recompute when v differs from "the previous scheduling
-        #: instance", so the comparison must be against this snapshot —
-        #: not against the last _refresh_vtime() call, which other hooks
-        #: (e.g. wrap-around checks) may invoke in between.
-        self._v_at_recompute = self._vtime
-        #: instrumentation: full surplus recomputations (resorts)
-        self.resort_count = 0
+        #: §3.1 queue 3: phi -> runnable threads of that phi by (S, tid)
+        self._buckets: dict[float, SortedTaskList] = {}
+        #: tid -> the phi whose bucket holds the (runnable) task
+        self._filed: dict[int, float] = {}
         #: instrumentation: pick_next invocations
         self.decision_count = 0
+        #: instrumentation: Eq. 4 surpluses computed by the decisions
+        self.surplus_evaluations = 0
 
     # ------------------------------------------------------------------
     # queue maintenance via TaggedScheduler extension points
@@ -145,105 +137,134 @@ class SurplusFairScheduler(TaggedScheduler):
         return self._own_weight_queue
 
     def _runnable_set_changed(self, task: Task, now: float) -> None:
-        runnable = task.tid in self._runnable
-        if runnable and task.tid not in self._in_queues:
-            task.sched["alpha"] = self.surplus_of(task)
-            if self.frontier is None:
+        tid = task.tid
+        if tid in self._runnable:
+            if tid not in self._filed and self.frontier is None:
                 self._own_weight_queue.add(task)
-            self.surplus_queue.add(task)
-            self._in_queues.add(task.tid)
-        elif not runnable and task.tid in self._in_queues:
+            self._file(task)
+        elif tid in self._filed:
             if self.frontier is None:
                 self._own_weight_queue.discard(task)
-            self.surplus_queue.discard(task)
-            self._in_queues.discard(task.tid)
-        # Readjustment may have changed phis, arrivals/departures moved
-        # v: stored surpluses are stale until the next decision.
-        self._surplus_dirty = True
+            self._unfile(task)
+        if self.frontier is not None:
+            # Readjustment re-weighted other members too (at most O(p)).
+            for changed in self.frontier.drain_phi_changes():
+                self._file(changed)
 
     def on_weight_change(self, task: Task, old_weight: float, now: float) -> None:
         # The frontier repositions its queue itself; the ablation copy
         # must be repositioned here or its cached sort order goes stale.
-        if self.frontier is None and task.tid in self._in_queues:
+        if self.frontier is None and task.tid in self._filed:
             self._own_weight_queue.reposition(task)
+        # Without a frontier, phi = weight moves here and the
+        # runnable-set hook re-files the task under its new phi.
         super().on_weight_change(task, old_weight, now)
 
+    def _file(self, task: Task) -> None:
+        """File a runnable task under its phi (re-file if phi moved)."""
+        phi = task.phi
+        filed = self._filed.get(task.tid)
+        if filed is not None:
+            # sfs-lint: disable=SFS005 (bit-identity: is it under this exact phi?)
+            if filed == phi:
+                return
+            self._leave_bucket(task, filed)
+        bucket = self._buckets.get(phi)
+        if bucket is None:
+            bucket = self._buckets[phi] = SortedTaskList(key=_start_tag)
+        bucket.add(task)
+        self._filed[task.tid] = phi
+
+    def _unfile(self, task: Task) -> None:
+        self._leave_bucket(task, self._filed.pop(task.tid))
+
+    def _leave_bucket(self, task: Task, phi: float) -> None:
+        bucket = self._buckets[phi]
+        bucket.remove(task)
+        if not len(bucket):
+            del self._buckets[phi]
+
     def _tags_updated(self, task: Task, now: float) -> None:
-        # A preemption advanced this task's start tag; its surplus grew.
-        if task.tid in self._in_queues:
-            task.sched["alpha"] = self.surplus_of(task)
-            self.surplus_queue.reposition(task)
+        # A preemption advanced this task's start tag: move it back
+        # within its own bucket (its phi did not change).
+        phi = self._filed.get(task.tid)
+        if phi is not None:
+            self._buckets[phi].reposition(task)
 
     def _after_rebase(self, offset) -> None:
-        # Tags moved but (S - v) is invariant under a common shift, so
-        # surpluses are unchanged; nothing to re-sort.
-        pass
+        # A common shift keeps every bucket's order, but the keys each
+        # bucket cached at insertion are stale: refresh them in place.
+        for bucket in self._buckets.values():
+            bucket.resort_insertion()
 
     # ------------------------------------------------------------------
     # the scheduling decision
     # ------------------------------------------------------------------
 
-    def _recompute_surpluses(self) -> None:
-        """Update every runnable thread's surplus and re-sort queue 3.
-
-        §3.1: "if the virtual time changes from the previous scheduling
-        instance, then the scheduler must update the surplus values of
-        all runnable threads (since alpha_i is a function of v) and
-        re-sort the queue." The paper's kernel re-sorts its linked list
-        with insertion sort to exploit the mostly-sorted order (§3.2);
-        here the recompute loop and the re-sort are fused into a single
-        pass plus one :meth:`~repro.sim.runqueue.SortedTaskList.rebuild_sorted`
-        call, whose timsort is near-linear on the same mostly-sorted
-        input but runs its comparisons in C. Keys are unique (tid
-        tie-break), so any sort produces the identical final order —
-        the decision sequence is bit-for-bit unchanged. This recompute
-        *is* the dominant cost of exact SFS under overload (runnable
-        sets in the thousands, one recompute per decision), which is
-        why the whole pass drops into C when the optional extension is
-        built and the tags are plain floats; see docs/PERFORMANCE.md
-        for measurements.
-        """
-        v = self._vtime
-        queue = self.surplus_queue
-        if _C_RECOMPUTE is not None and type(self.tags) is FloatTags:
-            # One C call: compute every alpha = phi*(S-v), write it into
-            # task.sched, sort by (alpha, tid), and install the queue's
-            # new internal state. Bit-identical to the loop below.
-            _C_RECOMPUTE(queue._tasks, v, queue)
-        else:
-            surplus = self.tags.surplus
-            keyed = []
-            append = keyed.append
-            for task in queue:
-                alpha = surplus(task.phi, task.sched["S"], v)
-                task.sched["alpha"] = alpha
-                append(((alpha, task.tid), task))
-            queue.rebuild_sorted(keyed)
-        self.resort_count += 1
-        self._surplus_dirty = False
-        self._v_at_recompute = v
-
     def pick_next(self, cpu: int, now: float) -> Task | None:
         self.decision_count += 1
         self._refresh_vtime()
-        # sfs-lint: disable=SFS005 (bit-identity staleness test, not arithmetic)
-        if self._vtime != self._v_at_recompute or self._surplus_dirty:
-            self._recompute_surpluses()
-        best = self._first_schedulable(self.surplus_queue)
+        best = self._minimum_surplus()
         if best is None or self.affinity_bonus <= 0:
             return best
         return self._apply_affinity(cpu, best)
+
+    def _minimum_surplus(self) -> Task | None:
+        """The schedulable thread with the least ``(alpha, tid)``.
+
+        Walks each phi bucket from its head: running threads are
+        skipped (at most ``p`` of them), the first schedulable one has
+        the bucket's minimum surplus, and the walk continues only along
+        the run of equal surpluses, one thread per distinct start tag,
+        for the smallest tid. A bucket whose head surplus already
+        exceeds the best so far is abandoned after one evaluation.
+        """
+        surplus = self.tags.surplus
+        v = self._vtime
+        runnable = TaskState.RUNNABLE
+        best: Task | None = None
+        best_alpha = None
+        best_tid = 0
+        evaluations = 0
+        for phi, bucket in self._buckets.items():
+            tasks = bucket._tasks  # read in place: this loop runs per decision
+            n = len(tasks)
+            run_alpha = None
+            i = 0
+            while i < n:
+                task = tasks[i]
+                i += 1
+                if task.state is not runnable:
+                    continue
+                start = task.sched["S"]
+                alpha = surplus(phi, start, v)
+                evaluations += 1
+                if best is not None and alpha > best_alpha:
+                    break  # alpha never decreases along the bucket
+                if run_alpha is None:
+                    run_alpha = alpha
+                # sfs-lint: disable=SFS005 (bit-identity: end of the equal-alpha run)
+                elif alpha != run_alpha:
+                    break
+                if best is None or alpha < best_alpha or task.tid < best_tid:
+                    best = task
+                    best_alpha = alpha
+                    best_tid = task.tid
+                # The rest of this start tag's block has the same
+                # surplus and larger tids: only a later tag can tie.
+                # sfs-lint: disable=SFS005 (bit-identity: same tag, same surplus)
+                if i < n and tasks[i].sched["S"] == start:
+                    i = bucket.skip_key(i)
+        self.surplus_evaluations += evaluations
+        return best
 
     def _apply_affinity(self, cpu: int, best: Task) -> Task:
         """§5 extension: keep the CPU's previous thread when near-tied.
 
         Both sides of the bonus comparison are *fresh* Eq. 4 surpluses
-        computed against one virtual-time snapshot. ``best`` was picked
-        off the surplus queue's stored keys, so its fresh surplus is
-        re-derived here too — the guard below re-selects if a stored
-        key turns out stale (it should not, after the recompute in
-        :meth:`pick_next`, but the bonus must never admit a thread more
-        than ``affinity_bonus`` past the fresh minimum).
+        computed against one virtual-time snapshot, and ``best`` is the
+        fresh minimum the bucket walk just found, so the bonus never
+        admits a thread more than ``affinity_bonus`` past it.
         """
         assert self.machine is not None
         prev = self.machine.previous_task(cpu)
@@ -251,7 +272,7 @@ class SurplusFairScheduler(TaggedScheduler):
             prev is None
             or prev is best
             or prev.state is not TaskState.RUNNABLE
-            or prev.tid not in self._in_queues
+            or prev.tid not in self._filed
         ):
             return best
         # Express the bonus in surplus units (works for float and
@@ -263,17 +284,7 @@ class SurplusFairScheduler(TaggedScheduler):
             self.tags.zero,
         )
         v = self._vtime
-        best_alpha = self.surplus_of(best, v)
-        # sfs-lint: disable=SFS005 (bit-identity staleness test vs stored queue key)
-        if best_alpha != best.sched["alpha"]:
-            # Stale stored key: re-select against fresh surpluses so the
-            # bound below really is the fresh minimum.
-            self._recompute_surpluses()
-            best = self._first_schedulable(self.surplus_queue)
-            if best is None or prev is best:
-                return best
-            best_alpha = best.sched["alpha"]
-        if self.surplus_of(prev, v) <= best_alpha + bonus:
+        if self.surplus_of(prev, v) <= self.surplus_of(best, v) + bonus:
             self.affinity_hits += 1
             return prev
         return best
@@ -290,8 +301,10 @@ class SurplusFairScheduler(TaggedScheduler):
     def exact_minimum_surplus_task(self) -> Task | None:
         """The schedulable thread with the smallest fresh surplus.
 
-        Used as the ground truth when measuring heuristic accuracy
-        (Fig. 3); ties broken by tid like the real decision path.
+        A brute-force scan of the runnable set that never reads the phi
+        buckets, so it stays an independent oracle: the ground truth
+        for heuristic accuracy (Fig. 3) and for the ``surplus_order``
+        audit. Ties broken by tid like the real decision path.
         """
         self._refresh_vtime()
         best: Task | None = None

@@ -1,13 +1,17 @@
 """The §3.2 bounded-scan decision heuristic for SFS.
 
-Exact SFS must recompute every runnable thread's surplus whenever the
-virtual time advances — O(t log t) with run-queue length ``t``. The
-paper's heuristic caps this: *"the thread with the minimum surplus
-typically has either a small weight, a small start tag, or a small
-surplus in the previous scheduling instance"*, so examining the first
-``k`` threads of each of the three queues (the weight queue backwards,
-since it is sorted descending), computing fresh surpluses only for
-those, and picking the minimum is almost always right. Fig. 3 shows
+The paper's exact SFS recomputes every runnable thread's surplus
+whenever the virtual time advances — O(t log t) with run-queue length
+``t``. (This package's exact scheduler avoids that with per-phi
+buckets, see :mod:`repro.core.sfs`; the heuristic is kept as the paper
+describes it, with its own surplus queue, so Fig. 3 measures the
+paper's design.) The heuristic caps the cost: *"the thread with the
+minimum surplus typically has either a small weight, a small start
+tag, or a small surplus in the previous scheduling instance"*, so
+examining the first ``k`` threads of each of the three queues (the
+weight queue backwards, since it is sorted descending), computing fresh
+surpluses only for those, and picking the minimum is almost always
+right. Fig. 3 shows
 k = 20 yields > 99 % accuracy on a quad-processor with up to 400
 runnable threads.
 
@@ -28,12 +32,12 @@ under overload (runnable sets in the thousands):
   surpluses; fixed-point shifts may round), so the next decision
   forces a full refresh immediately rather than trusting a stale order
   for up to ``refresh_every`` more decisions;
-- the periodic refresh shares the exact path's fused
-  recompute-and-rebuild (one pass computing fresh surpluses, one
-  timsort): O(n log n) guaranteed even though after ``refresh_every``
-  decisions of drift the queue arrives arbitrarily scrambled —
-  insertion sort's quadratic case, which is why the §3.2 insertion
-  re-sort is not used here.
+- the periodic refresh is one fused recompute-and-rebuild (one pass
+  computing fresh surpluses, one timsort, in C when the optional
+  extension is built and the tags are floats): O(n log n) guaranteed
+  even though after ``refresh_every`` decisions of drift the queue
+  arrives arbitrarily scrambled — insertion sort's quadratic case,
+  which is why the §3.2 insertion re-sort is not used here.
 
 Set ``track_accuracy=True`` to have every decision also compute the
 exact minimum-surplus thread and record whether the heuristic matched —
@@ -43,12 +47,37 @@ curve on the server family).
 
 from __future__ import annotations
 
-from repro.core.fixed_point import TagArithmetic
+import os
+
+from repro.core.fixed_point import FloatTags, TagArithmetic
 from repro.core.sfs import SurplusFairScheduler
 from repro.sim.costs import DecisionCostParams
+from repro.sim.runqueue import SortedTaskList
 from repro.sim.task import Task, TaskState
 
 __all__ = ["HeuristicSurplusFairScheduler"]
+
+
+def _load_compiled_recompute():
+    """The C surplus-recompute helper, honouring the SFS_ENGINE policy.
+
+    Returns ``repro.sim._engine.sfs_recompute`` when the optional
+    extension is importable and ``SFS_ENGINE`` does not force the pure
+    path, else None. The helper reproduces ``FloatTags.surplus`` bit
+    for bit (same IEEE-double expression), so it is gated per scheduler
+    instance on the tag arithmetic actually being :class:`FloatTags` —
+    fixed-point tags keep the pure integer loop.
+    """
+    if os.environ.get("SFS_ENGINE", "auto") == "pure":
+        return None
+    try:
+        from repro.sim._engine import sfs_recompute
+    except ImportError:
+        return None
+    return sfs_recompute
+
+
+_C_RECOMPUTE = _load_compiled_recompute()
 
 
 class HeuristicSurplusFairScheduler(SurplusFairScheduler):
@@ -90,6 +119,11 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
         super().__init__(
             tag_math=tag_math, wake_preempt=wake_preempt, readjust=readjust
         )
+        #: §3.1 queue 3: runnable threads by ascending surplus, as of
+        #: each thread's last refresh (stale between refreshes by design)
+        self.surplus_queue = SortedTaskList(key=lambda t: t.sched["alpha"])
+        #: instrumentation: full surplus recomputations (resorts)
+        self.resort_count = 0
         self.scan_depth = scan_depth
         self.refresh_every = refresh_every
         self.track_accuracy = track_accuracy
@@ -116,6 +150,60 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
         return self.tracked_matches / self.tracked_decisions
 
     # ------------------------------------------------------------------
+    # the surplus queue (replaces the exact path's phi buckets)
+    # ------------------------------------------------------------------
+
+    def _file(self, task: Task) -> None:
+        # A phi change leaves the stored surplus to drift until the next
+        # refresh, like every other change of v or phi.
+        if task.tid not in self._filed:
+            task.sched["alpha"] = self.surplus_of(task)
+            self.surplus_queue.add(task)
+            self._filed[task.tid] = task.phi
+
+    def _unfile(self, task: Task) -> None:
+        self.surplus_queue.discard(task)
+        del self._filed[task.tid]
+
+    def _tags_updated(self, task: Task, now: float) -> None:
+        # A preemption advanced this task's start tag; its surplus grew.
+        if task.tid in self._filed:
+            task.sched["alpha"] = self.surplus_of(task)
+            self.surplus_queue.reposition(task)
+
+    def _recompute_surpluses(self) -> None:
+        """Update every runnable thread's surplus and re-sort queue 3.
+
+        §3.1: "if the virtual time changes from the previous scheduling
+        instance, then the scheduler must update the surplus values of
+        all runnable threads (since alpha_i is a function of v) and
+        re-sort the queue." The heuristic does this only every
+        ``refresh_every`` decisions. The recompute loop and the re-sort
+        are fused into a single pass plus one
+        :meth:`~repro.sim.runqueue.SortedTaskList.rebuild_sorted` call.
+        Keys are unique (tid tie-break), so any sort produces the
+        identical final order; the whole pass drops into C when the
+        optional extension is built and the tags are plain floats.
+        """
+        v = self._vtime
+        queue = self.surplus_queue
+        if _C_RECOMPUTE is not None and type(self.tags) is FloatTags:
+            # One C call: compute every alpha = phi*(S-v), write it into
+            # task.sched, sort by (alpha, tid), and install the queue's
+            # new internal state. Bit-identical to the loop below.
+            _C_RECOMPUTE(queue._tasks, v, queue)
+        else:
+            surplus = self.tags.surplus
+            keyed = []
+            append = keyed.append
+            for task in queue:
+                alpha = surplus(task.phi, task.sched["S"], v)
+                task.sched["alpha"] = alpha
+                append(((alpha, task.tid), task))
+            queue.rebuild_sorted(keyed)
+        self.resort_count += 1
+
+    # ------------------------------------------------------------------
     # staleness hooks: structural order invalidation forces a refresh
     # ------------------------------------------------------------------
 
@@ -128,7 +216,6 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
             self._order_stale = True
 
     def _after_rebase(self, offset) -> None:
-        super()._after_rebase(offset)
         # Surpluses are invariant under a common tag shift in exact
         # arithmetic, but fixed-point shifts round — refreshing once is
         # cheap insurance against a silently reordered queue.
@@ -165,6 +252,7 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
                 if (
                     best is None
                     or alpha < best_alpha
+                    # sfs-lint: disable=SFS005 (bit-identity: equal-alpha tid tie-break)
                     or (alpha == best_alpha and task.tid < best_tid)
                 ):
                     best = task

@@ -376,6 +376,11 @@ class ReadjustmentFrontier:
       current membership would assign, bit for bit;
     - at most ``p - 1`` members are capped when ``t >= p``;
     - repair is idempotent (:meth:`refresh` changes nothing).
+
+    The frontier also reports *which* members' ``phi`` it changed:
+    :meth:`drain_phi_changes` hands a consumer that files threads by
+    ``phi`` (exact SFS's per-phi surplus buckets) the O(p) threads to
+    re-file, instead of a rescan of the whole runnable set.
     """
 
     __slots__ = (
@@ -388,6 +393,7 @@ class ReadjustmentFrontier:
         "fast_skips",
         "phi_writes",
         "scan_steps",
+        "_phi_before",
     )
 
     def __init__(self, p: int) -> None:
@@ -411,6 +417,9 @@ class ReadjustmentFrontier:
         self.phi_writes = 0
         #: instrumentation: violation tests consumed by frontier scans
         self.scan_steps = 0
+        #: tid -> (member, its phi before the first change since the
+        #: last :meth:`drain_phi_changes`)
+        self._phi_before: dict[int, tuple["Task", float]] = {}
 
     # ------------------------------------------------------------------
     # membership
@@ -450,6 +459,7 @@ class ReadjustmentFrontier:
         """A task left the runnable set; release its cap, repair."""
         self.queue.remove(task)
         self._capped.pop(task.tid, None)
+        self._phi_before.pop(task.tid, None)
         if not len(self.queue):
             # Reset rather than subtract down to zero: sheds any bigint
             # growth in the exact accumulator between busy periods.
@@ -479,6 +489,25 @@ class ReadjustmentFrontier:
         if len(self.queue):
             self._repair(None, force=True)
 
+    def drain_phi_changes(self) -> list["Task"]:
+        """Members whose ``phi`` differs from its value at the last drain.
+
+        In order of first change; a member whose ``phi`` moved and then
+        returned to its old value is not reported. Removed tasks are
+        never reported: they left the membership, and their ``phi`` is
+        re-derived when they rejoin.
+        """
+        if not self._phi_before:
+            return []
+        changed = [
+            task
+            for task, before in self._phi_before.values()
+            # sfs-lint: disable=SFS005 (bit-identity change detection)
+            if task.phi != before
+        ]
+        self._phi_before.clear()
+        return changed
+
     # ------------------------------------------------------------------
     # the repair
     # ------------------------------------------------------------------
@@ -486,6 +515,8 @@ class ReadjustmentFrontier:
     def _set_phi(self, task: "Task", phi: float) -> None:
         # sfs-lint: disable=SFS005 (bit-identity change detection: skip no-op writes)
         if task.phi != phi:
+            if task.tid not in self._phi_before:
+                self._phi_before[task.tid] = (task, task.phi)
             task.phi = phi
             self.phi_writes += 1
 

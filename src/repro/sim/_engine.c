@@ -1,12 +1,12 @@
-/* Compiled hot path for the discrete-event engine and the SFS surplus
- * recompute.
+/* Compiled hot path for the discrete-event engine and the SFS-heuristic
+ * surplus refresh.
  *
  * This module is the optional C twin of repro/sim/engine.py: an
  * ``Engine`` type implementing the same calendar-queue event loop
  * (one bucket per exact timestamp, a C double min-heap over the
  * distinct times, whole-bucket batch dispatch), plus a
  * ``sfs_recompute`` helper that runs the Eq. 4 surplus-recompute loop
- * of repro/core/sfs.py at C speed for float tag arithmetic.
+ * of repro/core/sfs_heuristic.py at C speed for float tag arithmetic.
  *
  * Behavioural contract: bit-for-bit identical event order and
  * arithmetic versus the pure-Python implementations. Every float
@@ -731,7 +731,7 @@ static PyTypeObject Engine_Type = {
 };
 
 /* ------------------------------------------------------------------ */
-/* sfs_recompute: the Eq. 4 surplus loop of repro/core/sfs.py in C     */
+/* sfs_recompute: the Eq. 4 surplus loop of sfs_heuristic.py in C      */
 /* ------------------------------------------------------------------ */
 
 typedef struct {

@@ -21,6 +21,7 @@ the complexity claims of §3.2.
 
 from __future__ import annotations
 
+import math
 from bisect import bisect_left, bisect_right
 from typing import Callable, Iterator
 
@@ -60,6 +61,14 @@ class SortedTaskList:
 
     def __contains__(self, task: Task) -> bool:
         return task.tid in self._cached_key
+
+    def skip_key(self, index: int) -> int:
+        """Index of the first entry whose key exceeds entry ``index``'s.
+
+        Entries with equal keys sit together in tid order, so this skips
+        the rest of ``index``'s equal-key block in one O(log n) search.
+        """
+        return bisect_right(self._keys, (self._keys[index][0], math.inf), index + 1)
 
     def add(self, task: Task) -> None:
         """Insert ``task`` at its sorted position (O(log n) search)."""

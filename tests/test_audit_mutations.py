@@ -32,6 +32,19 @@ def _scenario(**overrides):
     return Scenario(**base)
 
 
+def _by_fresh_surplus(sched):
+    """Schedulable threads in (fresh surplus, tid) order."""
+    sched._refresh_vtime()
+    return [
+        task
+        for _, task in sorted(
+            ((sched.surplus_of(t), t.tid), t)
+            for t in sched._runnable.values()
+            if t.state is TaskState.RUNNABLE
+        )
+    ]
+
+
 def test_baseline_unmutated_run_is_violation_free():
     report = run_scenario(_scenario()).audit_report
     assert report.ok, report.render()
@@ -88,14 +101,8 @@ def test_broken_surplus_ordering_flagged(monkeypatch):
     # fresh minimum.
     def worst_pick(self, cpu, now):
         self.decision_count += 1
-        self._refresh_vtime()
-        if self._surplus_dirty:
-            self._recompute_surpluses()
-        worst = None
-        for candidate in self.surplus_queue:
-            if candidate.state is TaskState.RUNNABLE:
-                worst = candidate
-        return worst
+        ordered = _by_fresh_surplus(self)
+        return ordered[-1] if ordered else None
 
     monkeypatch.setattr(SurplusFairScheduler, "pick_next", worst_pick)
     report = run_scenario(_scenario()).audit_report
@@ -125,11 +132,8 @@ def test_starved_thread_flagged_by_no_starvation(monkeypatch):
     # thread (a filtering bug), starving it while the run stays busy.
     def biased_pick(self, cpu, now):
         self.decision_count += 1
-        self._refresh_vtime()
-        if self._surplus_dirty:
-            self._recompute_surpluses()
-        for candidate in self.surplus_queue:
-            if candidate.state is TaskState.RUNNABLE and candidate.name != "bg-1":
+        for candidate in _by_fresh_surplus(self):
+            if candidate.name != "bg-1":
                 return candidate
         return None
 

@@ -7,8 +7,9 @@ for the current membership — bit for bit, which is what makes golden
 outputs independent of whether readjustment ran batch or incrementally.
 Also pinned here: the §2.1 structural claims (at most p - 1 capped
 members when t >= p, the t < p equal-share waterfill case) and repair
-idempotence, plus the comparison-count evidence that a frontier op is
-sublinear in membership size.
+idempotence, the phi-change report (after every step the drained set
+is exactly the members whose phi moved), plus the comparison-count
+evidence that a frontier op is sublinear in membership size.
 """
 
 from __future__ import annotations
@@ -68,18 +69,27 @@ class FrontierMatchesBatch(RuleBasedStateMachine):
         self.frontier = ReadjustmentFrontier(p)
         self.members = []
 
+    def _step(self, mutate):
+        """Apply one mutation; the drained report must be exact."""
+        before = {m.tid: m.phi for m in self.members}
+        mutate()
+        drained = self.frontier.drain_phi_changes()
+        moved = {m.tid for m in self.members if m.phi != before[m.tid]}
+        assert {m.tid for m in drained} == moved
+        assert len(drained) == len(moved)
+
     @rule(weight=weight_strategy)
     def add(self, weight):
         member = Member(weight)
         self.members.append(member)
-        self.frontier.add(member)
+        self._step(lambda: self.frontier.add(member))
 
     @precondition(lambda self: self.members)
     @rule(data=st.data())
     def remove(self, data):
         index = data.draw(st.integers(min_value=0, max_value=len(self.members) - 1))
         member = self.members.pop(index)
-        self.frontier.remove(member)
+        self._step(lambda: self.frontier.remove(member))
 
     @precondition(lambda self: self.members)
     @rule(data=st.data(), weight=weight_strategy)
@@ -88,7 +98,7 @@ class FrontierMatchesBatch(RuleBasedStateMachine):
         member = self.members[index]
         old = member.weight
         member.weight = weight
-        self.frontier.reweight(member, old)
+        self._step(lambda: self.frontier.reweight(member, old))
 
     @precondition(lambda self: self.members)
     @rule()
@@ -96,6 +106,7 @@ class FrontierMatchesBatch(RuleBasedStateMachine):
         before = [(m.tid, m.phi) for m in self.members]
         self.frontier.refresh()
         assert [(m.tid, m.phi) for m in self.members] == before
+        assert self.frontier.drain_phi_changes() == []
 
     @invariant()
     def matches_batch_oracle(self):

@@ -69,6 +69,18 @@ class TestBasicOps:
         assert b not in q
 
 
+    def test_skip_key_jumps_over_equal_key_blocks(self):
+        q = SortedTaskList(key=lambda t: t.weight)
+        tasks = make_tasks([1, 2, 1, 2, 3, 1])
+        for t in tasks:
+            q.add(t)
+        assert [t.weight for t in q] == [1, 1, 1, 2, 2, 3]
+        assert q.skip_key(0) == 3  # past the whole weight-1 block
+        assert q.skip_key(1) == 3
+        assert q.skip_key(3) == 5
+        assert q.skip_key(5) == 6  # the last block ends the list
+
+
 class TestKeyChanges:
     def test_reposition_restores_order_after_key_change(self):
         q = SortedTaskList(key=lambda t: t.sched.get("x", 0))

@@ -1,5 +1,6 @@
-"""Tests for the SFS scheduler: surplus invariants, three queues,
-proportional allocation, SFQ equivalence on uniprocessors."""
+"""Tests for the SFS scheduler: surplus invariants, three queues (the
+surplus queue held as per-phi buckets), proportional allocation, SFQ
+equivalence on uniprocessors."""
 
 import math
 
@@ -63,10 +64,12 @@ class TestSurplusInvariants:
         t = m.add_task(Task(GeneratorBehavior(gen()), weight=1, name="b"))
         add_inf(m, 1, "bg")
         m.run_until(1.0)
-        assert t not in sched.surplus_queue
+        assert t.tid not in sched._filed
+        assert not any(t in bucket for bucket in sched._buckets.values())
         assert t not in sched.weight_queue
         m.run_until(11.0)
-        assert t in sched.surplus_queue
+        assert t in sched._buckets[t.phi]
+        assert sched._filed[t.tid] == t.phi
         assert t in sched.weight_queue
 
     def test_weight_queue_sorted_descending_by_user_weight(self):
@@ -169,13 +172,31 @@ class TestSfqEquivalence:
 
 
 class TestInstrumentation:
-    def test_resort_count_grows_with_vtime_changes(self):
+    def test_exact_sfs_never_recomputes_every_surplus(self):
+        # The paper's exact SFS re-evaluates all 40 runnable surpluses
+        # whenever v moves. Here no decision evaluates more than two
+        # per phi bucket, although v moves and start tags advance in
+        # lockstep (long runs of equal start tags, hence equal surplus).
         m, sched = sfs_machine(cpus=2, quantum=0.1)
-        for i in range(4):
-            add_inf(m, 1, f"T{i}")
-        m.run_until(2.0)
-        assert sched.resort_count > 0
-        assert sched.decision_count > 0
+        for i in range(40):
+            add_inf(m, 1 + (i % 2), f"T{i}")
+        per_decision = []
+        vtimes = []
+        pick = sched.pick_next
+
+        def counting(cpu, now):
+            before = sched.surplus_evaluations
+            picked = pick(cpu, now)
+            per_decision.append(sched.surplus_evaluations - before)
+            vtimes.append(sched.virtual_time)
+            return picked
+
+        sched.pick_next = counting
+        m.run_until(4.0)
+        assert len(set(vtimes)) > 5
+        assert sched.decision_count == len(per_decision) > 0
+        assert max(per_decision) <= 2 * len(sched._buckets) == 4
+        assert not any("alpha" in t.sched for t in m.tasks)
 
     def test_surpluses_keyed_by_tid(self):
         m, sched = sfs_machine(cpus=2)
