@@ -45,6 +45,8 @@ class FluidGMS:
     Threads are identified by arbitrary hashable keys (the simulator
     uses tids). All mutating calls take the absolute time at which the
     change happens; service is integrated piecewise between calls.
+    The per-thread rates are derived (one §2.1 ``readjust``) only after
+    the runnable set or a runnable weight changed, not on every advance.
     """
 
     def __init__(self, cpus: int, capacity: float = 1.0) -> None:
@@ -57,6 +59,8 @@ class FluidGMS:
         self._weights: dict[int, float] = {}
         self._service: dict[int, float] = {}
         self._now = 0.0
+        #: rates() of the current runnable set; None after a mutation
+        self._rates: dict[int, float] | None = None
 
     @property
     def now(self) -> float:
@@ -67,18 +71,27 @@ class FluidGMS:
 
         Rates are computed from the *readjusted* weights, so a thread
         whose raw weight is infeasible receives exactly one processor —
-        the defining behaviour of GMS over feasible phis.
+        the defining behaviour of GMS over feasible phis. The result is
+        a fresh dict the caller may keep or mutate.
         """
-        if not self._weights:
-            return {}
-        keys = list(self._weights)
-        phis = readjust([self._weights[k] for k in keys], self.p)
-        total = sum(phis)
-        full = self.p * self.capacity
-        return {
-            k: min(self.capacity, full * phi / total)
-            for k, phi in zip(keys, phis)
-        }
+        return dict(self._current_rates())
+
+    def _current_rates(self) -> dict[int, float]:
+        """The rates dict itself, derived once per runnable-set change."""
+        rates = self._rates
+        if rates is None:
+            rates = {}
+            if self._weights:
+                keys = list(self._weights)
+                phis = readjust([self._weights[k] for k in keys], self.p)
+                total = sum(phis)
+                full = self.p * self.capacity
+                rates = {
+                    k: min(self.capacity, full * phi / total)
+                    for k, phi in zip(keys, phis)
+                }
+            self._rates = rates
+        return rates
 
     def advance_to(self, t: float) -> None:
         """Integrate service up to absolute time ``t``."""
@@ -86,8 +99,9 @@ class FluidGMS:
             raise ValueError(f"time went backwards: {t} < {self._now}")
         dt = t - self._now
         if dt > 0:
-            for k, rate in self.rates().items():
-                self._service[k] += rate * dt
+            service = self._service
+            for k, rate in self._current_rates().items():
+                service[k] += rate * dt
         self._now = t
 
     def arrive(self, key: int, weight: float, at: float) -> None:
@@ -97,11 +111,13 @@ class FluidGMS:
         self.advance_to(at)
         self._weights[key] = weight
         self._service.setdefault(key, 0.0)
+        self._rates = None
 
     def depart(self, key: int, at: float) -> None:
         """A thread leaves the runnable set (block or exit)."""
         self.advance_to(at)
-        self._weights.pop(key, None)
+        if self._weights.pop(key, None) is not None:
+            self._rates = None
 
     def set_weight(self, key: int, weight: float, at: float) -> None:
         """A runnable thread's weight changes."""
@@ -110,6 +126,7 @@ class FluidGMS:
         self.advance_to(at)
         if key in self._weights:
             self._weights[key] = weight
+            self._rates = None
 
     def service_of(self, key: int) -> float:
         """Cumulative GMS service of a thread (0 if never seen)."""

@@ -10,6 +10,7 @@ per-iteration cost).
 from __future__ import annotations
 
 from bisect import bisect_right
+from operator import itemgetter
 from typing import Iterable, Sequence
 
 from repro.sim.task import Task
@@ -22,6 +23,8 @@ __all__ = [
     "sample_series",
     "iterations_series",
 ]
+
+_sample_time = itemgetter(0)
 
 
 def service_at(task: Task, t: float) -> float:
@@ -39,8 +42,7 @@ def service_at(task: Task, t: float) -> float:
     series = task.series
     if not series:
         return 0.0
-    times = [p[0] for p in series]
-    idx = bisect_right(times, t)
+    idx = bisect_right(series, t, key=_sample_time)
     if idx >= len(series):
         return series[-1][1]
     t1, s1 = series[idx]

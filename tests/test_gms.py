@@ -1,10 +1,14 @@
 """Tests for the GMS fluid oracle (§2.2) and trace replay."""
 
 import pytest
+from hypothesis import settings
+from hypothesis import strategies as st
+from hypothesis.stateful import RuleBasedStateMachine, initialize, invariant, rule
 
 from tests.conftest import add_inf
 from repro.core.gms import FluidGMS, replay_trace
 from repro.core.sfs import SurplusFairScheduler
+from repro.core.weights import readjust
 from repro.sim.machine import Machine
 from repro.sim.tracing import TraceEvent
 
@@ -159,3 +163,126 @@ class TestReplay:
         assert fast.keys() == spec.keys()
         for tid in spec:
             assert fast[tid] == pytest.approx(spec[tid], rel=1e-9), tid
+
+
+class FreshRatesGMS:
+    """FluidGMS as specified: the rates are re-derived on every use."""
+
+    def __init__(self, cpus):
+        self.p = cpus
+        self.weights = {}
+        self.service = {}
+        self.now = 0.0
+
+    def rates(self):
+        if not self.weights:
+            return {}
+        keys = list(self.weights)
+        phis = readjust([self.weights[k] for k in keys], self.p)
+        total = sum(phis)
+        return {k: min(1.0, self.p * phi / total) for k, phi in zip(keys, phis)}
+
+    def advance_to(self, t):
+        dt = t - self.now
+        if dt > 0:
+            for k, rate in self.rates().items():
+                self.service[k] += rate * dt
+        self.now = t
+
+    def arrive(self, key, weight, at):
+        self.advance_to(at)
+        self.weights[key] = weight
+        self.service.setdefault(key, 0.0)
+
+    def depart(self, key, at):
+        self.advance_to(at)
+        self.weights.pop(key, None)
+
+    def set_weight(self, key, weight, at):
+        self.advance_to(at)
+        if key in self.weights:
+            self.weights[key] = weight
+
+
+keys = st.integers(min_value=0, max_value=5)
+gms_weights = st.one_of(
+    st.sampled_from([1.0, 2.0, 4.0, 8.0]),
+    st.floats(min_value=-3.0, max_value=3.0).map(lambda e: 10.0**e),
+)
+gaps = st.one_of(st.just(0.0), st.floats(min_value=1e-3, max_value=2.0))
+
+
+class CachedRatesMatchFresh(RuleBasedStateMachine):
+    """The rate cache is invisible: every step equals a fresh derivation.
+
+    Keys come from a small pool, so departures and weight changes of
+    absent keys and re-arrivals of departed ones happen often.
+    """
+
+    @initialize(cpus=st.integers(min_value=1, max_value=4))
+    def setup(self, cpus):
+        self.gms = FluidGMS(cpus)
+        self.ref = FreshRatesGMS(cpus)
+        self.last_weight = {}
+        self.now = 0.0
+
+    def _later(self, gap):
+        self.now += gap
+        return self.now
+
+    @rule(key=keys, weight=gms_weights, gap=gaps)
+    def arrive(self, key, weight, gap):
+        at = self._later(gap)
+        self.gms.arrive(key, weight, at)
+        self.ref.arrive(key, weight, at)
+        self.last_weight[key] = weight
+
+    @rule(key=keys, gap=gaps)
+    def rearrive_at_last_weight(self, key, gap):
+        weight = self.last_weight.get(key, 1.0)
+        self.arrive(key, weight, gap)
+
+    @rule(key=keys, gap=gaps)
+    def depart(self, key, gap):
+        at = self._later(gap)
+        self.gms.depart(key, at)
+        self.ref.depart(key, at)
+
+    @rule(key=keys, weight=gms_weights, gap=gaps)
+    def set_weight(self, key, weight, gap):
+        at = self._later(gap)
+        self.gms.set_weight(key, weight, at)
+        self.ref.set_weight(key, weight, at)
+        if key in self.ref.weights:
+            self.last_weight[key] = weight
+
+    @rule(gap=gaps)
+    def advance_to(self, gap):
+        at = self._later(gap)
+        self.gms.advance_to(at)
+        self.ref.advance_to(at)
+
+    @invariant()
+    def services_and_rates_are_exact(self):
+        assert self.gms.services() == self.ref.service
+        assert self.gms.rates() == self.ref.rates()
+
+
+CachedRatesMatchFresh.TestCase.settings = settings(
+    max_examples=80, stateful_step_count=40, deadline=None
+)
+TestCachedRatesMatchFresh = CachedRatesMatchFresh.TestCase
+
+
+def test_rates_returns_a_fresh_dict_callers_may_mutate():
+    gms = FluidGMS(cpus=1)
+    gms.arrive(1, 1.0, 0.0)
+    gms.arrive(2, 3.0, 0.0)
+    rates = gms.rates()
+    assert rates is not gms.rates()
+    rates[1] = 99.0
+    del rates[2]
+    assert gms.rates() == {1: 0.25, 2: 0.75}
+    gms.advance_to(4.0)
+    assert gms.services() == {1: 1.0, 2: 3.0}
+    assert FluidGMS(cpus=1).rates() is not FluidGMS(cpus=1).rates()

@@ -1,6 +1,8 @@
 """Tests for service metrics and the context-switch cost models."""
 
 import pytest
+from hypothesis import given, settings
+from hypothesis import strategies as st
 
 from tests.conftest import add_inf
 from repro.core.sfs import SurplusFairScheduler
@@ -17,6 +19,52 @@ from repro.sim.metrics import (
     share_between,
     shares,
 )
+from repro.sim.task import Task
+from repro.workloads.cpu_bound import Infinite
+
+
+def brute_service_at(series, t):
+    """Linear-scan reading of a service series, for reference."""
+    s0 = 0.0
+    for t1, s1 in series:
+        if t1 > t:
+            run_start = t1 - (s1 - s0)
+            return s0 if t <= run_start else s0 + (t - run_start)
+        s0 = s1
+    return s0
+
+
+#: (idle gap, run length) per charge; zero gaps make back-to-back runs,
+#: zero runs repeat a sample's service
+charges = st.lists(
+    st.tuples(
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=2.0)),
+        st.one_of(st.just(0.0), st.floats(min_value=1e-6, max_value=1.0)),
+    ),
+    min_size=1,
+    max_size=30,
+)
+
+
+class TestServiceAtMatchesLinearScan:
+    @settings(max_examples=200, deadline=None)
+    @given(charges, st.lists(st.floats(min_value=-1.0, max_value=100.0), max_size=10))
+    def test_random_series(self, drawn, extra_queries):
+        task = Task(Infinite(), weight=1)
+        now = service = 0.0
+        queries = [-0.5, 0.0]
+        for gap, run in drawn:
+            queries.append(now + gap / 2.0)  # inside the idle gap
+            now += gap
+            queries.append(now)  # the run's start
+            now += run
+            service += run
+            task.series.append((now, service))
+            queries.append(now)  # exactly at the sample
+        queries += [now + 1e-9, now + 5.0]  # after the last sample
+        queries += extra_queries
+        for t in queries:
+            assert service_at(task, t) == brute_service_at(task.series, t), t
 
 
 class TestServiceAt:
@@ -56,9 +104,6 @@ class TestServiceAt:
         assert service_at(t, 99.0) == pytest.approx(1.0)
 
     def test_empty_series(self):
-        from repro.sim.task import Task
-        from repro.workloads.cpu_bound import Infinite
-
         t = Task(Infinite(), weight=1)
         assert service_at(t, 5.0) == 0.0
 
