@@ -31,7 +31,6 @@ from repro.scenario import (
     run_scenario,
     server_scenario,
 )
-from repro.sim.engine import build_info
 
 #: the family's scaling ladder; 5000 is the acceptance-criteria point
 SIZES = [100, 1000, 5000]
@@ -49,7 +48,7 @@ CONFIGS = [
     ("sfq-overload", "sfq", 1.6),
     # Cheapest per-decision policy under overload: the cell where the
     # event loop itself (not the scheduler) dominates, i.e. the purest
-    # measure of the calendar-queue/compiled-engine work.
+    # measure of the calendar-queue event loop.
     ("round-robin-overload", "round-robin", 1.6),
 ]
 LABELS = [label for label, _, _ in CONFIGS]
@@ -91,10 +90,6 @@ def test_server_scale_events_per_sec(benchmark, n, label):
     events = result.machine.engine.events_fired
     benchmark.extra_info["scheduler"] = label
     benchmark.extra_info["n_tasks"] = n
-    # Which hot path produced this number (compiled C engine vs pure
-    # Python, and which event queue) — without it the perf trajectory
-    # across PRs can't be attributed.
-    benchmark.extra_info["engine_build"] = build_info()["engine"]
     benchmark.extra_info["events"] = events
     benchmark.extra_info["events_per_sec"] = round(events / wall)
     benchmark.extra_info["context_switches"] = result.trace.context_switches
@@ -168,7 +163,6 @@ def test_flow_scale_events_per_sec(benchmark, label):
     events = result.machine.engine.events_fired
     benchmark.extra_info["scheduler"] = label
     benchmark.extra_info["n_tasks"] = FLOW_N
-    benchmark.extra_info["engine_build"] = build_info()["engine"]
     benchmark.extra_info["events"] = events
     benchmark.extra_info["events_per_sec"] = round(events / wall)
 

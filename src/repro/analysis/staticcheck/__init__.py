@@ -1,6 +1,6 @@
 """Repo-specific AST linter for determinism and soundness conventions.
 
-Eleven rules, registered like schedulers (``@rule`` mirrors
+Nine rules, registered like schedulers (``@rule`` mirrors
 ``@register``), runnable as ``sfs-experiment lint`` or
 ``python -m repro.analysis.staticcheck``:
 
@@ -14,14 +14,11 @@ SFS006  Scenario/SweepCell payloads must stay pickle-safe
 SFS007  example scenario configs must pass schema validation
 SFS008  no call chain from sim code to unseeded RNG / wall clock
 SFS009  no unordered iteration order escaping into sim code
-SFS010  compiled engine mirror surface matches the manifest
-SFS011  compiled engine internals (slots, keys, exprs) match Python
 ======  ==============================================================
 
 SFS001-SFS007 run per file; SFS008/SFS009 need the whole project call
-graph (``lint --project``, :mod:`.project`); SFS010/SFS011 cross-check
-``_engine.c`` against its Python reference (``lint --cboundary``,
-:mod:`.cboundary`). Waive a single finding inline with
+graph (``lint --project``, :mod:`.project`). Waive a single finding
+inline with
 ``# sfs-lint: disable=SFSnnn``, or freeze a legacy set with
 ``lint --write-baseline`` / ``--baseline``. See docs/CORRECTNESS.md.
 """
@@ -37,7 +34,6 @@ from repro.analysis.staticcheck.rules import (
     rule_ids,
 )
 from repro.analysis.staticcheck import checks  # noqa: F401  (registers rules)
-from repro.analysis.staticcheck.cboundary import check_cboundary
 from repro.analysis.staticcheck.engine import (
     DEFAULT_ROOTS,
     discover_files,
@@ -56,7 +52,6 @@ __all__ = [
     "LintRule",
     "Violation",
     "DEFAULT_ROOTS",
-    "check_cboundary",
     "disabled_ids_by_line",
     "discover_files",
     "find_repo_root",

@@ -1,4 +1,4 @@
-"""The repo-specific lint rules (SFS001-SFS011).
+"""The repo-specific lint rules (SFS001-SFS009).
 
 Each rule encodes one determinism or soundness convention the
 reproduction depends on:
@@ -22,16 +22,13 @@ reproduction depends on:
   copies it (SFS007);
 - nondeterminism and hash order can also reach simulation code
   *transitively* through harness layers, which the interprocedural
-  project analyzer catches (SFS008, SFS009; :mod:`.project`);
-- the optional C engine must stay a faithful mirror of its pure-Python
-  reference, pinned statically by the compiled-boundary conformance
-  checker (SFS010, SFS011; :mod:`.cboundary`).
+  project analyzer catches (SFS008, SFS009; :mod:`.project`).
 
 Rules are registered via :func:`repro.analysis.staticcheck.rules.rule`
-and run by :mod:`repro.analysis.staticcheck.engine`. SFS008-SFS011 are
-produced by their dedicated analyzers (enabled with ``lint --project``
-/ ``lint --cboundary``); the classes here carry their ids, titles and
-docs, and their per-file hooks are no-ops.
+and run by :mod:`repro.analysis.staticcheck.engine`. SFS008/SFS009 are
+produced by the project analyzer (enabled with ``lint --project``);
+the classes here carry their ids, titles and docs, and their per-file
+hooks are no-ops.
 """
 
 from __future__ import annotations
@@ -57,8 +54,6 @@ __all__ = [
     "ScenarioConfigRule",
     "TransitiveNondeterminismRule",
     "UnorderedEscapeRule",
-    "MirrorSurfaceRule",
-    "MirrorDriftRule",
 ]
 
 
@@ -656,7 +651,7 @@ class ScenarioConfigRule(LintRule):
 
 
 # ----------------------------------------------------------------------
-# SFS008-SFS011: analyzer-produced rules (project / compiled boundary)
+# SFS008-SFS009: analyzer-produced rules (project call graph)
 # ----------------------------------------------------------------------
 
 
@@ -688,37 +683,6 @@ class UnorderedEscapeRule(LintRule):
     because the set literal lives in the callee. Produced by the
     project analyzer under ``lint --project``; fix by sorting at the
     source or wrapping the call in ``sorted(...)``.
-    """
-
-    def check(self, tree: ast.AST, source: str, path: str) -> Iterator[Violation]:
-        return iter(())
-
-
-@rule("SFS010")
-class MirrorSurfaceRule(LintRule):
-    """The compiled engine's mirror surface must match its manifest.
-
-    Every method/getset/member the C extension exposes is declared in
-    :mod:`repro.analysis.staticcheck.cboundary_manifest`; a dropped,
-    missing or undeclared mirror is a blocking error, and the Python
-    twin class must still provide every mirrored name. Produced by the
-    compiled-boundary conformance checker under ``lint --cboundary``.
-    """
-
-    def check(self, tree: ast.AST, source: str, path: str) -> Iterator[Violation]:
-        return iter(())
-
-
-@rule("SFS011")
-class MirrorDriftRule(LintRule):
-    """Compiled/pure mirror internals must not drift.
-
-    Cross-checks the C extension's interned attribute and dict-key
-    names against the actual ``__slots__``/dict-key layout of the
-    Python reference, the ``alpha = phi * (S - v)`` expression shape
-    against ``FloatTags.surplus`` (operand order included), env-flag
-    declarations, and exception-message parity. Produced by the
-    compiled-boundary conformance checker under ``lint --cboundary``.
     """
 
     def check(self, tree: ast.AST, source: str, path: str) -> Iterator[Violation]:

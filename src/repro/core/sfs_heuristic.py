@@ -33,8 +33,7 @@ under overload (runnable sets in the thousands):
   forces a full refresh immediately rather than trusting a stale order
   for up to ``refresh_every`` more decisions;
 - the periodic refresh is one fused recompute-and-rebuild (one pass
-  computing fresh surpluses, one timsort, in C when the optional
-  extension is built and the tags are floats): O(n log n) guaranteed
+  computing fresh surpluses, one timsort): O(n log n) guaranteed
   even though after ``refresh_every`` decisions of drift the queue
   arrives arbitrarily scrambled — insertion sort's quadratic case,
   which is why the §3.2 insertion re-sort is not used here.
@@ -47,37 +46,13 @@ curve on the server family).
 
 from __future__ import annotations
 
-import os
-
-from repro.core.fixed_point import FloatTags, TagArithmetic
+from repro.core.fixed_point import TagArithmetic
 from repro.core.sfs import SurplusFairScheduler
 from repro.sim.costs import DecisionCostParams
 from repro.sim.runqueue import SortedTaskList
 from repro.sim.task import Task, TaskState
 
 __all__ = ["HeuristicSurplusFairScheduler"]
-
-
-def _load_compiled_recompute():
-    """The C surplus-recompute helper, honouring the SFS_ENGINE policy.
-
-    Returns ``repro.sim._engine.sfs_recompute`` when the optional
-    extension is importable and ``SFS_ENGINE`` does not force the pure
-    path, else None. The helper reproduces ``FloatTags.surplus`` bit
-    for bit (same IEEE-double expression), so it is gated per scheduler
-    instance on the tag arithmetic actually being :class:`FloatTags` —
-    fixed-point tags keep the pure integer loop.
-    """
-    if os.environ.get("SFS_ENGINE", "auto") == "pure":
-        return None
-    try:
-        from repro.sim._engine import sfs_recompute
-    except ImportError:
-        return None
-    return sfs_recompute
-
-
-_C_RECOMPUTE = _load_compiled_recompute()
 
 
 class HeuristicSurplusFairScheduler(SurplusFairScheduler):
@@ -182,25 +157,18 @@ class HeuristicSurplusFairScheduler(SurplusFairScheduler):
         are fused into a single pass plus one
         :meth:`~repro.sim.runqueue.SortedTaskList.rebuild_sorted` call.
         Keys are unique (tid tie-break), so any sort produces the
-        identical final order; the whole pass drops into C when the
-        optional extension is built and the tags are plain floats.
+        identical final order.
         """
         v = self._vtime
         queue = self.surplus_queue
-        if _C_RECOMPUTE is not None and type(self.tags) is FloatTags:
-            # One C call: compute every alpha = phi*(S-v), write it into
-            # task.sched, sort by (alpha, tid), and install the queue's
-            # new internal state. Bit-identical to the loop below.
-            _C_RECOMPUTE(queue._tasks, v, queue)
-        else:
-            surplus = self.tags.surplus
-            keyed = []
-            append = keyed.append
-            for task in queue:
-                alpha = surplus(task.phi, task.sched["S"], v)
-                task.sched["alpha"] = alpha
-                append(((alpha, task.tid), task))
-            queue.rebuild_sorted(keyed)
+        surplus = self.tags.surplus
+        keyed = []
+        append = keyed.append
+        for task in queue:
+            alpha = surplus(task.phi, task.sched["S"], v)
+            task.sched["alpha"] = alpha
+            append(((alpha, task.tid), task))
+        queue.rebuild_sorted(keyed)
         self.resort_count += 1
 
     # ------------------------------------------------------------------

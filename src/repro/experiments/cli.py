@@ -865,12 +865,6 @@ def _registry_sections() -> list[tuple[str, list[tuple[str, str]]]]:
 
 
 def _cmd_list(args: argparse.Namespace) -> int:
-    if getattr(args, "build_info", False):
-        from repro.sim.engine import build_info
-
-        for key, value in build_info().items():
-            print(f"{key}: {value}")
-        return 0
     sections = _registry_sections()
     for i, (heading, rows) in enumerate(sections):
         if i:
@@ -1029,24 +1023,15 @@ def _build_parser() -> argparse.ArgumentParser:
         help="serve the execution-backend worker protocol "
         "(line-JSON over stdio; used by --backend ssh)",
     )
-    p_list = sub.add_parser(
-        "list", help="list experiment ids and scheduler names"
-    )
-    p_list.add_argument(
-        "--build-info",
-        action="store_true",
-        help="report which engine build is active (compiled C extension "
-        "vs pure Python, and which event queue) instead of the registries",
-    )
+    sub.add_parser("list", help="list experiment ids and scheduler names")
     # `lint` is dispatched before parsing (it owns its own argparse in
     # repro.analysis.staticcheck); registered here only for --help.
     sub.add_parser(
         "lint",
         add_help=False,
         help="run the repo-specific determinism/soundness linter "
-        "(rules SFS001-SFS011; see `lint --list-rules`, `lint --project` "
-        "for the interprocedural rules, `lint --cboundary` for the "
-        "compiled-boundary conformance checker)",
+        "(rules SFS001-SFS009; see `lint --list-rules`, and `lint "
+        "--project` for the interprocedural rules)",
     )
     return parser
 

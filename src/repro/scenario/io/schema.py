@@ -115,9 +115,10 @@ class FieldSpec:
             value = float(value)
         else:  # pragma: no cover - table construction error
             raise AssertionError(f"bad FieldSpec kind {self.kind!r}")
-        if self.gt is not None and value <= self.gt:
+        # negated so NaN, which compares false both ways, fails too
+        if self.gt is not None and not value > self.gt:
             raise ConfigError(path, f"must be > {self.gt}, got {value}")
-        if self.ge is not None and value < self.ge:
+        if self.ge is not None and not value >= self.ge:
             raise ConfigError(path, f"must be >= {self.ge}, got {value}")
         if self.choices is not None and value not in self.choices:
             raise ConfigError(

@@ -25,6 +25,7 @@ The population DSL:
 from __future__ import annotations
 
 import dataclasses
+import math
 from collections import Counter
 from dataclasses import dataclass, field
 from typing import Any, Callable, Iterable, Mapping, Union
@@ -323,6 +324,13 @@ class Scenario:
         driver_names = [d.name for d in self.drivers]
         if len(set(driver_names)) != len(driver_names):
             raise ValueError(f"duplicate driver names: {driver_names}")
+        duration = self.duration
+        if duration is not None and not (math.isfinite(duration) and duration > 0):
+            # NaN, inf or a non-positive horizon would hang the run or
+            # fail only once it is under way; reject it here instead.
+            raise ValueError(
+                f"duration must be None or a finite number > 0, got {duration}"
+            )
         if self.duration is not None:
             for probe in self.probes:
                 if probe.at > self.duration:

@@ -7,36 +7,19 @@ keeps every simulation in this repository bit-for-bit reproducible.
 The engine knows nothing about CPUs or schedulers; the machine layer
 (:mod:`repro.sim.machine`) builds on top of it.
 
-Two engine implementations share this contract:
-
-- :class:`PyEngine` (this module): pure Python, with a pluggable event
-  queue from :mod:`repro.sim.eventq`. The default queue is the
-  calendar queue, which batches all same-timestamp events through a
-  single dispatch pass; the reference binary heap remains available
-  for equivalence testing (``SFS_EVENTQ=heap``).
-- ``repro.sim._engine.Engine``: the optional C extension (built from
-  ``src/repro/sim/_engine.c``), implementing the same calendar queue
-  and run loop in C. It is selected automatically when importable.
-
-``Engine`` — the name the rest of the repository uses — binds to the
-compiled implementation when present, unless ``SFS_ENGINE=pure``
-forces the fallback (``SFS_ENGINE=compiled`` conversely *requires* the
-extension and raises if it is missing). Both implementations are
-behaviourally identical event for event; the test suite and the golden
-contracts run against whichever is active, and
-``tests/test_eventq.py`` pins pure-vs-compiled equivalence directly.
-Call :func:`build_info` (or ``sfs-experiment list --build-info``) to
-see which path is live.
+:class:`Engine` runs on the calendar queue of :mod:`repro.sim.eventq`,
+which batches all same-timestamp events through a single dispatch
+pass. ``tests/test_eventq.py`` pins it, event for event, to a binary
+heap oracle passed in through the ``queue`` parameter.
 """
 
 from __future__ import annotations
 
-import os
 from typing import Any, Callable
 
-from repro.sim.eventq import EVENT_QUEUES, make_event_queue
+from repro.sim.eventq import CalendarEventQueue
 
-__all__ = ["Engine", "EventHandle", "PyEngine", "build_info"]
+__all__ = ["Engine", "EventHandle", "build_info"]
 
 
 class EventHandle:
@@ -56,7 +39,7 @@ class EventHandle:
         self.fn = fn
         self.args = args
         self.cancelled = False
-        self._engine: "PyEngine | None" = None
+        self._engine: "Engine | None" = None
 
     def cancel(self) -> None:
         """Prevent the event from firing (no-op if already fired)."""
@@ -67,33 +50,27 @@ class EventHandle:
             self._engine._live -= 1
             self._engine = None
 
-    def __lt__(self, other: "EventHandle") -> bool:
-        return (self.time, self.seq) < (other.time, other.seq)
-
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         state = "cancelled" if self.cancelled else "pending"
         return f"<EventHandle t={self.time:.6f} {self.fn.__name__} ({state})>"
 
 
-class PyEngine:
-    """Discrete-event simulation clock and event queue (pure Python).
+class Engine:
+    """Discrete-event simulation clock and event queue.
 
     Parameters
     ----------
     queue:
-        Event-queue implementation: a name from
-        :data:`repro.sim.eventq.EVENT_QUEUES` (``"calendar"`` or
-        ``"heap"``), or None to take the ``SFS_EVENTQ`` environment
-        variable (default ``"calendar"``). The choice changes wall
-        clock, never behaviour — both queues yield events in identical
-        ``(time, seq)`` order.
+        Event-queue instance to run on; None (the default) builds a
+        fresh :class:`~repro.sim.eventq.CalendarEventQueue`. Any object
+        with the same ``push`` / ``pop_due`` / ``pop_batch_due`` /
+        ``requeue`` methods that yields events in ascending
+        ``(time, seq)`` order gives identical behaviour; the tests use
+        this to run the engine on a binary-heap oracle.
     """
 
-    def __init__(self, queue: str | None = None) -> None:
-        if queue is None:
-            queue = os.environ.get("SFS_EVENTQ", "calendar")
-        self._queue = make_event_queue(queue)
-        self.queue_kind = queue
+    def __init__(self, queue=None) -> None:
+        self._queue = CalendarEventQueue() if queue is None else queue
         self._now = 0.0
         self._seq = 0
         self._fired = 0
@@ -194,9 +171,10 @@ class PyEngine:
     def run_until(self, t_end: float) -> None:
         """Process all events with time <= ``t_end``; leave now == t_end.
 
-        Events scheduled exactly at ``t_end`` do fire.
+        Events scheduled exactly at ``t_end`` do fire. Raises
+        ``ValueError`` if ``t_end`` is in the past (or NaN).
         """
-        if t_end < self._now:
+        if not t_end >= self._now:  # rejects the past and NaN in one test
             raise ValueError(f"t_end {t_end} is in the past (now={self._now})")
         self._drain(t_end)
         self._now = t_end
@@ -218,59 +196,10 @@ class PyEngine:
         return fired
 
 
-def _select_engine():
-    """Bind ``Engine`` per the ``SFS_ENGINE`` policy (see module doc)."""
-    choice = os.environ.get("SFS_ENGINE", "auto")
-    if choice not in ("auto", "compiled", "pure"):
-        raise ValueError(
-            f"SFS_ENGINE must be auto, compiled or pure, got {choice!r}"
-        )
-    compiled = None
-    if choice != "pure":
-        try:
-            from repro.sim import _engine as compiled
-        except ImportError:
-            compiled = None
-        if choice == "compiled" and compiled is None:
-            raise ImportError(
-                "SFS_ENGINE=compiled but the repro.sim._engine extension is "
-                "not importable; build it with `python setup.py build_ext "
-                "--inplace` (or `SFS_BUILD_EXT=1 pip install -e .`)"
-            )
-    if compiled is not None:
-        return compiled.Engine, "compiled"
-    return PyEngine, "pure"
-
-
-Engine, _ENGINE_KIND = _select_engine()
-
-
 def build_info() -> dict:
-    """Report which engine/event-queue build is active.
+    """Report which engine build is active (always the pure one).
 
-    Returned keys: ``engine`` (``"compiled"`` or ``"pure"``),
-    ``engine_class`` (qualified class name), ``eventq`` (active queue
-    kind for the pure engine; the compiled engine always uses its
-    built-in calendar queue), ``compiled_available`` (whether the C
-    extension imports), and ``selector`` (the ``SFS_ENGINE`` policy in
-    effect). Surfaced by ``sfs-experiment list --build-info`` so sweep
-    logs can record which hot path produced them.
+    ``perfbench`` prints ``build_info()["engine"]`` on every output
+    line, so the key stays although there is only one engine.
     """
-    try:
-        from repro.sim import _engine  # noqa: F401
-
-        available = True
-    except ImportError:
-        available = False
-    return {
-        "engine": _ENGINE_KIND,
-        "engine_class": f"{Engine.__module__}.{Engine.__qualname__}",
-        "eventq": (
-            "calendar"
-            if _ENGINE_KIND == "compiled"
-            else os.environ.get("SFS_EVENTQ", "calendar")
-        ),
-        "eventq_kinds": sorted(EVENT_QUEUES),
-        "compiled_available": available,
-        "selector": os.environ.get("SFS_ENGINE", "auto"),
-    }
+    return {"engine": "pure"}

@@ -1,45 +1,32 @@
-"""Pluggable event-queue implementations for the discrete-event engine.
+"""The calendar event queue behind the discrete-event engine.
 
 The engine (:mod:`repro.sim.engine`) needs exactly one ordering
 guarantee from its queue: events come out in ascending ``(time, seq)``
 order, where ``seq`` is the monotonically increasing scheduling serial.
-Two implementations provide it:
+:class:`CalendarEventQueue` provides it as a calendar queue in the
+degenerate-bucket limit: one bucket per *exact timestamp*. Buckets
+live in a dict keyed by the raw float time; a small binary heap orders
+only the **distinct** pending timestamps. Because ``seq`` is assigned
+monotonically, appending to a bucket keeps it sorted for free, so
 
-:class:`HeapEventQueue`
-    The classic binary heap of ``(time, seq, handle)`` tuples — the
-    engine's original structure, kept as the reference implementation
-    and as the oracle for the equivalence tests
-    (``tests/test_eventq.py``). O(log n) per push and per pop.
+- pushing into an existing bucket is O(1) (dict hit + list append),
+- pushing a new timestamp is O(log B) with B = distinct times
+  (B <= n, and far smaller under bursty schedules),
+- popping drains a whole same-timestamp bucket with **one** heap
+  pop, which is what lets the engine batch all simultaneous events
+  through a single dispatch pass.
 
-:class:`CalendarEventQueue`
-    A calendar queue in the degenerate-bucket limit: one bucket per
-    *exact timestamp*. Buckets live in a dict keyed by the raw float
-    time; a small binary heap orders only the **distinct** pending
-    timestamps. Because ``seq`` is assigned monotonically, appending to
-    a bucket keeps it sorted for free, so
+Classic calendar queues bucket a *range* of times and must then
+sort within the bucket and handle year wrap-around; exact-timestamp
+buckets sidestep both while keeping the property that matters here
+— simulations bit-for-bit reproducible, because the ``(time, seq)``
+total order is preserved exactly (same floats, same tie-break).
 
-    - pushing into an existing bucket is O(1) (dict hit + list append),
-    - pushing a new timestamp is O(log B) with B = distinct times
-      (B <= n, and far smaller under bursty schedules),
-    - popping drains a whole same-timestamp bucket with **one** heap
-      pop, which is what lets the engine batch all simultaneous events
-      through a single dispatch pass.
-
-    Classic calendar queues bucket a *range* of times and must then
-    sort within the bucket and handle year wrap-around; exact-timestamp
-    buckets sidestep both while keeping the property that matters here
-    — simulations bit-for-bit reproducible, because the ``(time, seq)``
-    total order is preserved exactly (same floats, same tie-break).
-
-Cancellation is cooperative in both implementations: cancelled handles
-stay queued and are skipped when popped (the engine checks the
-``cancelled`` flag), so ``cancel()`` itself stays O(1).
-
-The compiled engine (:mod:`repro.sim._engine`, built from
-``src/repro/sim/_engine.c`` when the optional extension is available)
-implements the same calendar-queue structure in C; these pure-Python
-classes are the always-available fallback and the behavioural
-specification it is tested against.
+Cancellation is cooperative: cancelled handles stay queued and are
+skipped when popped (the engine checks the ``cancelled`` flag), so
+``cancel()`` itself stays O(1). ``tests/test_eventq.py`` keeps the
+engine's original binary heap of ``(time, seq, handle)`` tuples as the
+oracle this queue is tested against.
 """
 
 from __future__ import annotations
@@ -51,80 +38,7 @@ from typing import TYPE_CHECKING
 if TYPE_CHECKING:  # pragma: no cover
     from repro.sim.engine import EventHandle
 
-__all__ = [
-    "CalendarEventQueue",
-    "HeapEventQueue",
-    "EVENT_QUEUES",
-    "make_event_queue",
-]
-
-
-class HeapEventQueue:
-    """Reference binary-heap event queue (``(time, seq, handle)`` tuples).
-
-    ``seq`` is unique, so tuple comparison never falls through to the
-    handle and every sift compares in C.
-    """
-
-    __slots__ = ("_heap",)
-
-    def __init__(self) -> None:
-        self._heap: list[tuple[float, int, "EventHandle"]] = []
-
-    def __len__(self) -> int:
-        """Number of queued handles, including cancelled ones."""
-        return len(self._heap)
-
-    def push(self, handle: "EventHandle") -> None:
-        """Queue ``handle`` (reads its ``time`` and ``seq``)."""
-        heappush(self._heap, (handle.time, handle.seq, handle))
-
-    def pop_due(self, bound: float) -> "EventHandle | None":
-        """Next live handle with ``time <= bound``, or None.
-
-        Cancelled handles encountered on the way are dropped.
-        """
-        heap = self._heap
-        while heap:
-            when, _, head = heap[0]
-            if head.cancelled:
-                heappop(heap)
-                continue
-            if when > bound:
-                return None
-            heappop(heap)
-            return head
-        return None
-
-    def pop_batch_due(self, bound: float) -> "list[EventHandle] | None":
-        """All handles sharing the earliest due timestamp, or None.
-
-        The returned batch is in ``seq`` order and may contain cancelled
-        handles (the engine skips them while firing); it always contains
-        at least one live handle. The heap implementation pops the
-        same-time run off the heap one tuple at a time — the calendar
-        implementation returns the whole bucket with a single heap pop,
-        which is the point of the structure.
-        """
-        first = self.pop_due(bound)
-        if first is None:
-            return None
-        batch = [first]
-        heap = self._heap
-        when = first.time
-        while heap and heap[0][0] == when:
-            batch.append(heappop(heap)[2])
-        return batch
-
-    def requeue(self, handles: "list[EventHandle]", time: float) -> None:
-        """Put back the unfired tail of a popped batch (exception path).
-
-        The engine calls this when a callback raises mid-batch, so that
-        the exception leaves the queue exactly as if the remaining
-        events had never been popped.
-        """
-        for handle in handles:
-            heappush(self._heap, (handle.time, handle.seq, handle))
+__all__ = ["CalendarEventQueue"]
 
 
 class CalendarEventQueue:
@@ -240,19 +154,3 @@ class CalendarEventQueue:
         self._head_pos = 0
         self._head_time = time
 
-
-#: registry of pure-Python event-queue implementations by name
-EVENT_QUEUES = {
-    "heap": HeapEventQueue,
-    "calendar": CalendarEventQueue,
-}
-
-
-def make_event_queue(kind: str):
-    """Instantiate an event queue by registry name."""
-    try:
-        factory = EVENT_QUEUES[kind]
-    except KeyError:
-        known = ", ".join(sorted(EVENT_QUEUES))
-        raise ValueError(f"unknown event queue {kind!r}; known: {known}") from None
-    return factory()

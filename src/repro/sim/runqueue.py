@@ -203,33 +203,6 @@ class SortedTaskList:
         self.comparisons += n * max(1, n.bit_length())
         return n
 
-    def install_sorted(
-        self,
-        keys: list[tuple[float, int]],
-        tasks: list[Task],
-        cached_key: dict[int, tuple[float, int]],
-    ) -> int:
-        """Install fully prepared sorted state (the compiled fast path).
-
-        ``repro.sim._engine.sfs_recompute`` produces exactly these three
-        structures — already sorted, split and indexed — so the exact-SFS
-        recompute can swap them in wholesale instead of rebuilding them
-        from ``(key, task)`` pairs. The caller vouches for the sorted
-        invariant; :meth:`is_sorted` still verifies it against fresh
-        keys in the audit suite. Returns the element count.
-        """
-        if len(tasks) != len(self._tasks):
-            raise ValueError(
-                f"install_sorted got {len(tasks)} tasks for a queue of "
-                f"{len(self._tasks)}"
-            )
-        self._keys = keys
-        self._tasks = tasks
-        self._cached_key = cached_key
-        n = len(tasks)
-        self.comparisons += n * max(1, n.bit_length())
-        return n
-
     def as_list(self) -> list[Task]:
         """A snapshot copy of the queue in key order."""
         return list(self._tasks)

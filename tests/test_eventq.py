@@ -1,37 +1,105 @@
-"""Equivalence tests pinning the calendar queue to the heap oracle.
+"""Equivalence tests pinning the calendar queue to a heap oracle.
 
 The engine's one ordering guarantee — events fire in ascending
-``(time, seq)`` order — must hold identically across every queue and
-engine build: the reference binary heap, the pure-Python calendar
-queue, and the compiled C engine. These tests drive all of them with
-the same randomized schedules (same-timestamp bursts, cancellations,
-reentrant scheduling from callbacks) and require bit-identical fire
-logs, clocks and counters. A divergence here means simulations would
-stop being reproducible across builds, which is the repository's
-ground rule.
+``(time, seq)`` order — must hold identically whatever queue the
+engine runs on. These tests drive the engine on its calendar queue and
+on a reference binary heap (kept here, as the oracle) with the same
+randomized schedules (same-timestamp bursts, cancellations, reentrant
+scheduling from callbacks) and require bit-identical fire logs, clocks
+and counters. A divergence here means the calendar queue broke the
+order every simulation's reproducibility rests on.
 """
 
 from __future__ import annotations
 
 import math
+from heapq import heappop, heappush
 
 import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.sim.engine import PyEngine
-from repro.sim.eventq import EVENT_QUEUES, make_event_queue
+from repro.sim.engine import Engine, EventHandle
+from repro.sim.eventq import CalendarEventQueue
 
-try:
-    from repro.sim import _engine as compiled_engine
-except ImportError:  # pragma: no cover - pure-python environments
-    compiled_engine = None
 
-needs_compiled = pytest.mark.skipif(
-    compiled_engine is None,
-    reason="repro.sim._engine extension not built "
-    "(python setup.py build_ext --inplace)",
-)
+# ----------------------------------------------------------------------
+# the oracle
+# ----------------------------------------------------------------------
+
+
+class HeapEventQueue:
+    """Oracle binary-heap event queue (``(time, seq, handle)`` tuples).
+
+    The engine's original structure: O(log n) per push and per pop.
+    ``seq`` is unique, so tuple comparison never falls through to the
+    handle and every sift compares in C.
+    """
+
+    __slots__ = ("_heap",)
+
+    def __init__(self) -> None:
+        self._heap: list[tuple[float, int, "EventHandle"]] = []
+
+    def push(self, handle: "EventHandle") -> None:
+        """Queue ``handle`` (reads its ``time`` and ``seq``)."""
+        heappush(self._heap, (handle.time, handle.seq, handle))
+
+    def pop_due(self, bound: float) -> "EventHandle | None":
+        """Next live handle with ``time <= bound``, or None.
+
+        Cancelled handles encountered on the way are dropped.
+        """
+        heap = self._heap
+        while heap:
+            when, _, head = heap[0]
+            if head.cancelled:
+                heappop(heap)
+                continue
+            if when > bound:
+                return None
+            heappop(heap)
+            return head
+        return None
+
+    def pop_batch_due(self, bound: float) -> "list[EventHandle] | None":
+        """All handles sharing the earliest due timestamp, or None.
+
+        The returned batch is in ``seq`` order and may contain cancelled
+        handles (the engine skips them while firing); it always contains
+        at least one live handle. The heap implementation pops the
+        same-time run off the heap one tuple at a time — the calendar
+        implementation returns the whole bucket with a single heap pop,
+        which is the point of the structure.
+        """
+        first = self.pop_due(bound)
+        if first is None:
+            return None
+        batch = [first]
+        heap = self._heap
+        when = first.time
+        while heap and heap[0][0] == when:
+            batch.append(heappop(heap)[2])
+        return batch
+
+    def requeue(self, handles: "list[EventHandle]", time: float) -> None:
+        """Put back the unfired tail of a popped batch (exception path).
+
+        The engine calls this when a callback raises mid-batch, so that
+        the exception leaves the queue exactly as if the remaining
+        events had never been popped.
+        """
+        for handle in handles:
+            heappush(self._heap, (handle.time, handle.seq, handle))
+
+
+#: queue name -> factory; the ids every parametrized test runs under
+QUEUES = {"calendar": CalendarEventQueue, "heap": HeapEventQueue}
+
+
+def engine_on(kind: str) -> Engine:
+    """A fresh engine running on queue ``kind``."""
+    return Engine(QUEUES[kind]())
 
 
 # ----------------------------------------------------------------------
@@ -102,24 +170,13 @@ class TestQueueEquivalence:
     @given(programs)
     @settings(max_examples=200, deadline=None)
     def test_calendar_matches_heap(self, program):
-        calendar = execute(PyEngine(queue="calendar"), program)
-        heap = execute(PyEngine(queue="heap"), program)
+        calendar = execute(Engine(), program)
+        heap = execute(engine_on("heap"), program)
         assert calendar == heap
-
-    @needs_compiled
-    @given(programs)
-    @settings(max_examples=200, deadline=None)
-    def test_compiled_matches_pure(self, program):
-        pure = execute(PyEngine(queue="calendar"), program)
-        c = execute(compiled_engine.Engine(), program)
-        assert c == pure
 
     def test_same_timestamp_burst_fires_in_seq_order(self):
         """A thousand events at one timestamp drain as one batch, FIFO."""
-        engines = [PyEngine(queue="calendar"), PyEngine(queue="heap")]
-        if compiled_engine is not None:
-            engines.append(compiled_engine.Engine())
-        for engine in engines:
+        for engine in map(engine_on, sorted(QUEUES)):
             fired = []
             for i in range(1000):
                 engine.schedule_at(1.0, fired.append, i)
@@ -130,10 +187,7 @@ class TestQueueEquivalence:
 
     def test_interleaved_cancellation_burst(self):
         """Cancel every other event in a burst; survivors keep order."""
-        engines = [PyEngine(queue="calendar"), PyEngine(queue="heap")]
-        if compiled_engine is not None:
-            engines.append(compiled_engine.Engine())
-        for engine in engines:
+        for engine in map(engine_on, sorted(QUEUES)):
             fired = []
             handles = [
                 engine.schedule_at(2.0, fired.append, i) for i in range(100)
@@ -151,9 +205,9 @@ class TestQueueEquivalence:
 class TestQueueContract:
     """Direct pop-level checks on the queue implementations."""
 
-    @pytest.mark.parametrize("kind", sorted(EVENT_QUEUES))
+    @pytest.mark.parametrize("kind", sorted(QUEUES))
     def test_pop_due_respects_bound(self, kind):
-        engine = PyEngine(queue=kind)
+        engine = engine_on(kind)
         queue = engine._queue
         engine.schedule_at(1.0, lambda: None)
         engine.schedule_at(2.0, lambda: None)
@@ -162,9 +216,9 @@ class TestQueueContract:
         assert first is not None and first.time == 1.0
         assert queue.pop_due(1.5) is None
 
-    @pytest.mark.parametrize("kind", sorted(EVENT_QUEUES))
+    @pytest.mark.parametrize("kind", sorted(QUEUES))
     def test_pop_batch_skips_fully_cancelled_buckets(self, kind):
-        engine = PyEngine(queue=kind)
+        engine = engine_on(kind)
         queue = engine._queue
         doomed = [engine.schedule_at(1.0, lambda: None) for _ in range(3)]
         keeper = engine.schedule_at(2.0, lambda: None)
@@ -174,9 +228,9 @@ class TestQueueContract:
         assert batch is not None
         assert keeper in batch
 
-    @pytest.mark.parametrize("kind", sorted(EVENT_QUEUES))
+    @pytest.mark.parametrize("kind", sorted(QUEUES))
     def test_requeue_restores_tail(self, kind):
-        engine = PyEngine(queue=kind)
+        engine = engine_on(kind)
         queue = engine._queue
         engine.schedule_at(1.0, lambda: None)
         engine.schedule_at(1.0, lambda: None)
@@ -186,22 +240,12 @@ class TestQueueContract:
         again = queue.pop_batch_due(math.inf)
         assert again == batch[1:]
 
-    def test_make_event_queue_rejects_unknown(self):
-        with pytest.raises(ValueError, match="unknown event queue"):
-            make_event_queue("wheel-of-fortune")
-
 
 class TestExceptionSemantics:
     """A raising callback must leave the engine resumable."""
 
-    def _engines(self):
-        engines = [PyEngine(queue="calendar"), PyEngine(queue="heap")]
-        if compiled_engine is not None:
-            engines.append(compiled_engine.Engine())
-        return engines
-
     def test_exception_mid_batch_preserves_tail(self):
-        for engine in self._engines():
+        for engine in map(engine_on, sorted(QUEUES)):
             fired = []
 
             def boom():
@@ -221,12 +265,14 @@ class TestExceptionSemantics:
             assert engine.pending == 0
 
 
-@needs_compiled
-class TestCompiledSurface:
-    """Pin the C engine's validation/API parity with PyEngine."""
+class TestValidation:
+    """Bad times are rejected up front and leave the clock usable."""
 
-    def test_rejects_past_and_nan(self):
-        engine = compiled_engine.Engine()
+    @pytest.mark.parametrize("kind", sorted(QUEUES))
+    def test_rejects_past_and_nan(self, kind):
+        engine = engine_on(kind)
+        fired = []
+        engine.schedule_at(6.0, fired.append, "pending")
         engine.run_until(5.0)
         with pytest.raises(ValueError, match="in the past"):
             engine.schedule_at(1.0, lambda: None)
@@ -236,46 +282,12 @@ class TestCompiledSurface:
             engine.schedule_after(-0.5, lambda: None)
         with pytest.raises(ValueError, match="in the past"):
             engine.run_until(1.0)
-
-    def test_takes_no_constructor_args(self):
-        with pytest.raises(TypeError):
-            compiled_engine.Engine(queue="heap")
-
-    def test_handle_surface(self):
-        engine = compiled_engine.Engine()
-        seen = []
-        h = engine.schedule_at(1.5, seen.append, 7)
-        assert h.time == 1.5
-        assert h.seq == 0
-        assert h.args == (7,)
-        assert not h.cancelled
-        h2 = engine.schedule_at(1.5, seen.append, 8)
-        assert h < h2 and not (h2 < h)
-        h.cancel()
-        assert h.cancelled
-        h.cancel()  # idempotent
+        with pytest.raises(ValueError, match="in the past"):
+            engine.run_until(math.nan)
+        # the NaN bound fired nothing and left the clock where it was
+        assert fired == []
+        assert engine.now == 5.0
         assert engine.pending == 1
-
-    def test_sfs_recompute_matches_pure(self):
-        """The C Eq. 4 loop is bit-identical to FloatTags.surplus."""
-        from repro.core.fixed_point import FloatTags
-        from repro.sim.events import Run
-        from repro.sim.task import Task
-
-        tags = FloatTags()
-        tasks = []
-        for i in range(50):
-            task = Task(behavior=[Run(1.0)], weight=1 + i % 7)
-            task.phi = 0.1 + (i % 11) / 7.0
-            task.sched["S"] = i / 3.0
-            tasks.append(task)
-        v = 2.5
-        keys, out_tasks, cached = compiled_engine.sfs_recompute(tasks, v)
-        expected = sorted(
-            ((tags.surplus(t.phi, t.sched["S"], v), t.tid), t) for t in tasks
-        )
-        assert keys == [k for k, _ in expected]
-        assert out_tasks == [t for _, t in expected]
-        assert cached == {t.tid: k for k, t in expected}
-        for t in tasks:
-            assert t.sched["alpha"] == tags.surplus(t.phi, t.sched["S"], v)
+        engine.schedule_at(7.0, fired.append, "later")
+        engine.run_until(8.0)
+        assert fired == ["pending", "later"]

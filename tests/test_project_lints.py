@@ -248,8 +248,7 @@ def test_baseline_still_fails_on_new_findings(tmp_path, capsys):
     assert main([str(tmp_path / "src"), "--write-baseline", str(base)]) == 0
     driver = repo / "src" / "repro" / "sim" / "driver.py"
     driver.write_text(
-        driver.read_text()
-        + "\n\ndef draw2():\n    return random.randint(0, 9)\n"
+        driver.read_text() + "\n\ndef draw2():\n    return random.randint(0, 9)\n"
     )
     capsys.readouterr()
     assert main([str(tmp_path / "src"), "--baseline", str(base)]) == 1
@@ -277,6 +276,6 @@ def test_real_repo_has_no_project_violations():
 
 def test_real_repo_clean_under_full_blocking_invocation(capsys, monkeypatch):
     monkeypatch.chdir(REPO_ROOT)
-    status = main(["--project", "--cboundary"])
+    status = main(["--project"])
     out = capsys.readouterr().out
     assert status == 0, out

@@ -183,6 +183,17 @@ class TestValidation:
         with pytest.raises(ValueError, match="duration"):
             Scenario(name="open-ended", tasks=(task("a"),))
 
+    @pytest.mark.parametrize(
+        "duration", [float("nan"), float("inf"), -1.0, 0.0],
+        ids=["nan", "inf", "negative", "zero"],
+    )
+    def test_bad_duration_rejected_at_construction(self, duration):
+        with pytest.raises(ValueError) as excinfo:
+            Scenario(name="bad", duration=duration, tasks=(task("a"),))
+        assert str(excinfo.value) == (
+            f"duration must be None or a finite number > 0, got {duration}"
+        )
+
     def test_unknown_cost_model_rejected(self):
         with pytest.raises(ValueError, match="unknown cost model"):
             run_scenario(_basic(cost_model="free"))

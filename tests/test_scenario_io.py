@@ -13,6 +13,7 @@ Three layers of guarantee, strongest last:
 """
 
 import json
+import math
 import pickle
 import random
 
@@ -76,6 +77,22 @@ class TestErrors:
         err = _err({**MINIMAL, "quantum": 0})
         assert err.path == "quantum"
         assert "> 0" in err.detail
+
+    @pytest.mark.parametrize(
+        "path, data",
+        [
+            ("duration", {**MINIMAL, "duration": math.nan}),
+            ("quantum", {**MINIMAL, "quantum": math.nan}),
+            (
+                "tasks[0].weight",
+                {**MINIMAL, "tasks": [{"name": "a", "weight": math.nan}]},
+            ),
+        ],
+    )
+    def test_nan_fails_range_check(self, path, data):
+        err = _err(data)
+        assert err.path == path
+        assert err.detail == "must be > 0.0, got nan"
 
     def test_unknown_top_level_key_lists_accepted(self):
         err = _err({**MINIMAL, "qantum": 0.1})
